@@ -11,7 +11,10 @@ Two backends:
   anchored at the mode, where the anchor log-probability is evaluated with
   high-precision log-gamma.  This keeps tail values free of catastrophic
   cancellation; the accumulated relative error over a support sweep is
-  bounded by roughly ``support_size * 1e-16``.
+  bounded by roughly ``support_size * 1e-16``.  The table covers only a
+  window around the mode, about 80 sigma wide, outside which every pmf value
+  is 0.0 in double precision; log-probabilities beyond it come from the
+  anchor formula at k itself.
 
 k outside the support always yields probability zero rather than an error:
 callers routinely evaluate at ``floor(n*p + x*sigma)`` which may fall off
@@ -20,6 +23,7 @@ the support edge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +61,13 @@ class ExactProb:
 
 
 def _rational(value: Fraction) -> ExactProb:
-    log_value = -math.inf if value == 0 else math.log(float(value)) if float(value) > 0 else -math.inf
+    if value == 0:
+        log_value = -math.inf
+    elif float(value) >= sys.float_info.min:
+        log_value = math.log(float(value))
+    else:
+        # below the normal float range: logs of the exact integers stay finite
+        log_value = math.log(value.numerator) - math.log(value.denominator)
     return ExactProb("rational", value, log_value)
 
 
@@ -85,17 +95,29 @@ def pmf_fraction(params: HypParams, k: int) -> Fraction:
     return Fraction(num, math.comb(params.N, params.n))
 
 
+def pmf_numerators(params: HypParams, k_max: int):
+    """Yield C(M, k) * C(N-M, n-k) for k = support_min .. k_max.
+
+    Exact integer ratio recurrence: the division is exact because each term
+    is an integer, so the integers equal the per-term binomial products.
+    """
+    n, M, N = params.n, params.M, params.N
+    k = params.support_min
+    t = math.comb(M, k) * math.comb(N - M, n - k)
+    while True:
+        yield t
+        if k >= k_max:
+            return
+        t = t * (M - k) * (n - k) // ((k + 1) * (N - M - n + k + 1))
+        k += 1
+
+
 def cdf_fraction(params: HypParams, k: int) -> Fraction:
     if k < params.support_min:
         return Fraction(0)
     if k >= params.support_max:
         return Fraction(1)
-    den = math.comb(params.N, params.n)
-    num = sum(
-        math.comb(params.M, j) * math.comb(params.N - params.M, params.n - j)
-        for j in range(params.support_min, k + 1)
-    )
-    return Fraction(num, den)
+    return Fraction(sum(pmf_numerators(params, k)), math.comb(params.N, params.n))
 
 
 # ---------------------------------------------------------------------------
@@ -113,56 +135,91 @@ def _log_binom_hp(a: int, b: int) -> float:
         return float(v)
 
 
-class LogPmfTable:
-    """Log-pmf over the whole support, mode-anchored recurrence.
+#: the table window starts at mode +/- (ceil(WINDOW_SIGMAS * sigma) + WINDOW_PAD)
+WINDOW_SIGMAS = 40
+WINDOW_PAD = 10
 
-    Exposes numpy arrays ``ks``, ``logpmf``, ``pmf``, ``cdf`` (lower
-    cumulative) and ``sf_incl`` (upper cumulative including the point).
+
+def _log_pmf_anchor(params: HypParams, k: int) -> float:
+    """log P(X = k) from three 40-digit log-binomials, each rounded to double."""
+    n, M, N = params.n, params.M, params.N
+    return _log_binom_hp(M, k) + _log_binom_hp(N - M, n - k) - _log_binom_hp(N, n)
+
+
+def _window_logpmf(params: HypParams, m: int, anchor: float, ks: np.ndarray) -> np.ndarray:
+    """Log-pmf over the consecutive ``ks`` by cumulative sums of the log
+    ratio outward from the mode ``m``, whose log-pmf is ``anchor``."""
+    n, M, N = params.n, params.M, params.N
+    # log of P(k+1)/P(k) for k = ks[0] .. ks[-1]-1
+    kk = ks[:-1].astype(np.float64)
+    logr = (
+        np.log(M - kk)
+        + np.log(n - kk)
+        - np.log(kk + 1.0)
+        - np.log(N - M - n + kk + 1.0)
+    )
+    logpmf = np.empty(ks.shape, dtype=np.float64)
+    i = m - int(ks[0])
+    logpmf[i] = anchor
+    logpmf[i + 1 :] = anchor + np.cumsum(logr[i:])
+    logpmf[:i] = anchor - np.cumsum(logr[:i][::-1])[::-1]
+    return logpmf
+
+
+class LogPmfTable:
+    """Log-pmf over a window [lo, hi] around the mode, mode-anchored recurrence.
+
+    The window starts at mode +/- (ceil(40 sigma) + 10), clipped to the
+    support, and doubles until each edge is a support end or a point whose
+    pmf is 0.0 in double precision.  The cumulative sums only decrease the
+    float log-pmf outward from the mode, so every pmf value beyond such an
+    edge is 0.0 as well: the window arrays hold exactly the values, and the
+    cumulative sums exactly the sums, that a whole-support table would hold
+    at the same k.
+
+    Exposes numpy arrays over the window: ``ks``, ``logpmf``, ``pmf``,
+    ``cdf`` (lower cumulative) and ``sf_incl`` (upper cumulative including
+    the point).
     """
 
-    MAX_SUPPORT = 20_000_000
-
     def __init__(self, params: HypParams):
-        n, M, N = params.n, params.M, params.N
-        lo, hi = params.support_min, params.support_max
-        if hi - lo + 1 > self.MAX_SUPPORT:
-            raise ValueError(
-                f"support size {hi - lo + 1} exceeds logspace table cap"
-            )
         self.params = params
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
         m = mode(params)
-        anchor = (
-            _log_binom_hp(M, m)
-            + _log_binom_hp(N - M, n - m)
-            - _log_binom_hp(N, n)
-        )
-        # log of P(k+1)/P(k) for k = lo .. hi-1
-        kk = ks[:-1].astype(np.float64)
-        logr = (
-            np.log(M - kk)
-            + np.log(n - kk)
-            - np.log(kk + 1.0)
-            - np.log(N - M - n + kk + 1.0)
-        )
-        logpmf = np.empty(ks.shape, dtype=np.float64)
-        i = m - lo
-        logpmf[i] = anchor
-        if i < len(ks) - 1:
-            logpmf[i + 1 :] = anchor + np.cumsum(logr[i:])
-        if i > 0:
-            logpmf[:i] = anchor - np.cumsum(logr[:i][::-1])[::-1]
+        anchor = _log_pmf_anchor(params, m)
+        width = math.ceil(WINDOW_SIGMAS * params.sigma) + WINDOW_PAD
+        while True:
+            lo = max(params.support_min, m - width)
+            hi = min(params.support_max, m + width)
+            ks = np.arange(lo, hi + 1, dtype=np.int64)
+            logpmf = _window_logpmf(params, m, anchor, ks)
+            pmf = np.exp(logpmf)
+            if (lo == params.support_min or pmf[0] == 0.0) and (
+                hi == params.support_max or pmf[-1] == 0.0
+            ):
+                break
+            width *= 2
+        self.lo, self.hi = lo, hi
         self.ks = ks
         self.logpmf = logpmf
-        self.pmf = np.exp(logpmf)
-        self.cdf = np.minimum(np.cumsum(self.pmf), 1.0)
-        self.sf_incl = np.minimum(np.cumsum(self.pmf[::-1])[::-1], 1.0)
-        self.total = float(self.pmf.sum())
+        self.pmf = pmf
+        self.cdf = np.minimum(np.cumsum(pmf), 1.0)
+        self.sf_incl = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+        self.total = float(pmf.sum())
 
     def log_at(self, k: int) -> float:
         if not self.params.in_support(k):
             return -math.inf
-        return float(self.logpmf[k - self.params.support_min])
+        if self.lo <= k <= self.hi:
+            return float(self.logpmf[k - self.lo])
+        return _log_pmf_anchor(self.params, k)
+
+    def _tails(self, k: int) -> tuple[float, float]:
+        """(P(X <= k), P(X > k)) as accumulated from the lower and the upper
+        support end; beyond the window the pmf adds only zeros."""
+        i = k - self.lo
+        lower = float(self.cdf[min(i, self.hi - self.lo)]) if k >= self.lo else 0.0
+        upper = float(self.sf_incl[max(i + 1, 0)]) if k < self.hi else 0.0
+        return lower, upper
 
     def cdf_at(self, k: int) -> float:
         """P(X <= k), summed from the nearer tail and complemented."""
@@ -171,9 +228,7 @@ class LogPmfTable:
             return 0.0
         if k >= p.support_max:
             return 1.0
-        i = k - p.support_min
-        lower = float(self.cdf[i])
-        upper = float(self.sf_incl[i + 1])
+        lower, upper = self._tails(k)
         # whichever tail is smaller was accumulated with less cancellation
         if lower <= upper:
             return lower
@@ -186,9 +241,7 @@ class LogPmfTable:
             return 1.0
         if k >= p.support_max:
             return 0.0
-        i = k - p.support_min
-        lower = float(self.cdf[i])
-        upper = float(self.sf_incl[i + 1])
+        lower, upper = self._tails(k)
         if upper <= lower:
             return upper
         return 1.0 - lower

@@ -6,13 +6,16 @@ The standardized distribution function F is a step function jumping only at
 the lattice points (k - n*p)/sigma, while the normal cdf is continuous and
 strictly increasing, so sup_x |F(x) - Phi(x)| is attained at a jump point,
 from the left or at the point.  The lab computes the sup as a max over those
-2 * support_size candidates -- exact, O(support) cost, no x-scanning.
+candidates -- exact, no x-scanning.  The logspace profile keeps only the
+table window around the mode and four points outside it (see
+``lattice_profile``), so its cost grows with sigma, not with the support.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,11 +48,20 @@ class DeltaReport:
 
 @dataclass(frozen=True)
 class LatticeProfile:
-    """Per-instance arrays backing both delta_exact and calibration."""
+    """Per-instance arrays backing both delta_exact and calibration.
+
+    The rational profile covers the whole support.  The logspace profile
+    covers the table window plus at most four points outside it, in
+    ascending k: the support ends and the window's outer neighbours.
+    Outside the window F is 0 on the left and F(window end) on the right,
+    Phi is 0 or 1 in double precision, and every quantity maximized over
+    the profile is monotone or has a single valley in x**2 there, so its
+    max over the whole support is attained at one of the kept points.
+    """
 
     params: HypParams
     ks: np.ndarray
-    x_tilde: np.ndarray        # (k - n*p)/sigma at each support point
+    x_tilde: np.ndarray        # (k - n*p)/sigma at each kept lattice point
     F_at: np.ndarray           # F(x_tilde_k) = P(X <= k)
     F_left: np.ndarray         # left limit, P(X <= k-1)
     error_budget: float
@@ -58,23 +70,25 @@ class LatticeProfile:
 
 def lattice_profile(params: HypParams, backend: str | None = None) -> LatticeProfile:
     b = exact.choose_backend(params, backend)
-    ks = np.arange(params.support_min, params.support_max + 1, dtype=np.int64)
-    mean = params.n * params.M / params.N
-    x_tilde = (ks - mean) / params.sigma
+    lo, hi = params.support_min, params.support_max
     if b == "rational":
+        ks = np.arange(lo, hi + 1, dtype=np.int64)
         den = math.comb(params.N, params.n)
-        cum = 0
-        F_at = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            cum += math.comb(params.M, int(k)) * math.comb(
-                params.N - params.M, params.n - int(k)
-            )
-            F_at[i] = cum / den
+        F_at = np.array([c / den for c in accumulate(exact.pmf_numerators(params, hi))])
         budget = 1e-15 * len(ks)  # float conversion only; sums are exact
     else:
         table = exact.log_pmf_table(params)
-        F_at = np.minimum(np.cumsum(table.pmf), 1.0)
-        budget = LOGSPACE_EPS_PER_POINT * len(ks) + abs(1.0 - table.total)
+        left = sorted({lo, table.lo - 1}) if table.lo > lo else []
+        right = sorted({table.hi + 1, hi}) if table.hi < hi else []
+        ks = np.concatenate(
+            (np.array(left, dtype=np.int64), table.ks, np.array(right, dtype=np.int64))
+        )
+        F_at = np.concatenate(
+            (np.zeros(len(left)), table.cdf, np.full(len(right), table.cdf[-1]))
+        )
+        budget = LOGSPACE_EPS_PER_POINT * params.support_size + abs(1.0 - table.total)
+    mean = params.n * params.M / params.N
+    x_tilde = (ks - mean) / params.sigma
     F_left = np.empty_like(F_at)
     F_left[0] = 0.0
     F_left[1:] = F_at[:-1]
@@ -95,9 +109,8 @@ def _phi_vec(x: np.ndarray) -> np.ndarray:
     return ndtr(x)
 
 
-def delta_exact(params: HypParams, backend: str | None = None) -> DeltaReport:
-    """Exact sup_x |F(x) - Phi(x)| via the lattice-jump characterization."""
-    prof = lattice_profile(params, backend)
+def _delta_from_profile(prof: LatticeProfile) -> DeltaReport:
+    """Sup and argmax of |F - Phi| over the jumps of an existing profile."""
     Phi_k = _phi_vec(prof.x_tilde)
     dev_at = np.abs(prof.F_at - Phi_k)
     dev_left = np.abs(prof.F_left - Phi_k)
@@ -113,13 +126,18 @@ def delta_exact(params: HypParams, backend: str | None = None) -> DeltaReport:
             f"of magnitude below delta {sup:.3g}"
         )
     return DeltaReport(
-        params=params,
+        params=prof.params,
         delta_sup=sup,
         argmax_k=int(prof.ks[i]),
         side=side,
-        delta_times_sigma=sup * params.sigma,
+        delta_times_sigma=sup * prof.params.sigma,
         backend=prof.backend,
     )
+
+
+def delta_exact(params: HypParams, backend: str | None = None) -> DeltaReport:
+    """Exact sup_x |F(x) - Phi(x)| via the lattice-jump characterization."""
+    return _delta_from_profile(lattice_profile(params, backend))
 
 
 def delta_star_at(params: HypParams, x: float, backend: str | None = None) -> float:
@@ -240,7 +258,7 @@ def calibrate_constants(
                 "delta*sigma > 1 gate"
             )
     profiles = [lattice_profile(p) for p in train]
-    ds = [delta_exact(p) for p in train]
+    ds = [_delta_from_profile(prof) for prof in profiles]
     c1 = max(d.delta_times_sigma for d in ds)
     c2 = min(d.delta_times_sigma for d in ds)
 

@@ -7,6 +7,7 @@ immutable and validated once at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,16 @@ class HypParams:
     def __post_init__(self) -> None:
         for name in ("n", "M", "N"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is int:
+                continue
+            try:
+                index = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = None
+            if index is None:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+            # numpy integers and other integer types are stored as plain int
+            object.__setattr__(self, name, index)
         if not 1 <= self.M < self.N:
             raise ValueError(f"require 1 <= M < N, got M={self.M}, N={self.N}")
         if not 1 <= self.n < self.N:

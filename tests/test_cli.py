@@ -143,6 +143,21 @@ class TestDelta:
             payload["delta_sup"] * 2.5, rel=1e-12
         )
 
+    def test_balanced_population_of_a_billion(self, capsys):
+        # support 5e8: the windowed table holds about 80 sigma points of it
+        ratios = []
+        for N in (10**7, 10**9):
+            half = str(N // 2)
+            code, out, err = run_main(
+                capsys, "delta", "--n", half, "--M", half, "--N", str(N), "--json",
+            )
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["backend"] == "logspace"
+            ratios.append(payload["delta_times_sigma"])
+        assert ratios[0] == pytest.approx(0.19947, abs=1e-5)
+        assert abs(ratios[1] - ratios[0]) < 1e-3
+
 
 class TestSweep:
     def test_csv_structure(self, grid_file, capsys):

@@ -2,6 +2,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,15 @@ class TestParams:
             HypParams(n=0, M=2, N=4)
         with pytest.raises(TypeError):
             HypParams(n=1.0, M=2, N=4)
+
+    def test_integer_types_accepted_as_int(self):
+        p = HypParams(n=np.int64(30), M=np.uint16(50), N=np.int32(100))
+        assert all(type(v) is int for v in (p.n, p.M, p.N))
+        assert p == HypParams(30, 50, 100)
+        assert hash(p) == hash(HypParams(30, 50, 100))
+        for bad in (True, np.True_, 30.0, np.float64(30), "30"):
+            with pytest.raises(TypeError):
+                HypParams(n=bad, M=50, N=100)
 
     def test_derived_quantities(self):
         p = HypParams(n=100, M=100, N=200)
@@ -92,6 +103,37 @@ class TestPmfCdf:
         p = HypParams(600, 1000, 8000)
         table = exact.log_pmf_table(p)
         assert abs(table.total - 1.0) <= 1e-12
+
+    def test_rational_log_below_float_range(self):
+        # P(X = 0) = 1 / C(5000, 2500), about 1e-1504: no float holds it
+        p = HypParams(2500, 2500, 5000)
+        head = sum(math.comb(2500, j) ** 2 for j in range(4))
+        with mpmath.workdps(50):
+            log_den = mpmath.log(mpmath.binomial(5000, 2500))
+            for prob, truth in (
+                (exact.pmf_exact(p, 0), -log_den),
+                (exact.cdf_exact(p, 3), mpmath.log(head) - log_den),
+            ):
+                assert prob.value > 0 and float(prob.value) == 0.0
+                assert prob.log_value == pytest.approx(float(truth), rel=1e-12)
+
+    def test_far_tail_logspace_pmf_outside_window(self):
+        # the window is mode +/- 3.2e5 (40 sigma + 10); these k lie outside it
+        p = HypParams(500_000_000, 500_000_000, 10**9)
+        table = exact.log_pmf_table(p)
+        assert table.hi - table.lo + 1 < 100 * p.sigma
+        for k in (p.support_min, table.lo - 1, table.hi + 10**6, p.support_max - 7):
+            assert not table.lo <= k <= table.hi
+            log_value = exact.pmf_exact(p, k).log_value
+            with mpmath.workdps(50):
+                lg = mpmath.loggamma
+                truth = (
+                    lg(p.M + 1) - lg(k + 1) - lg(p.M - k + 1)
+                    + lg(p.N - p.M + 1) - lg(p.n - k + 1) - lg(p.N - p.M - p.n + k + 1)
+                    - lg(p.N + 1) + lg(p.n + 1) + lg(p.N - p.n + 1)
+                )
+            assert math.isfinite(log_value)
+            assert log_value == pytest.approx(float(truth), rel=1e-9)
 
     def test_logspace_cdf_nearer_tail(self):
         p = HypParams(400, 400, 8000)
